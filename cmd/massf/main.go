@@ -63,11 +63,10 @@ func run(args []string, out io.Writer, nowNano func() int64) error {
 		profIn    = fs.String("profile-in", "", "alias for -profile (pairs with -profile-out)")
 		profOut   = fs.String("profile-out", "", "write the measured profile here")
 		faultPath = fs.String("faults", "", "JSON fault script: scripted link/router churn with live reconvergence")
-		traceOut  = fs.String("trace", "", "write the run's flight recording here as Chrome trace JSON (load in ui.perfetto.dev)")
+		traceOut  = fs.String("trace", "", "write the run's flight recording here as Chrome trace JSON (load in ui.perfetto.dev); with -netsample it carries the sampled packet paths as lanes beside the engine tracks")
 		straggler = fs.Int("stragglers", 0, "print the top-K straggler report after the run (0 = off)")
 		netStats  = fs.Bool("netstats", false, "attach the network observability plane and print busiest links, drop split and FCT percentiles")
 		netSample = fs.Int("netsample", 0, "sample every k-th injected packet for path tracing (0 = off; implies -netstats)")
-		pathTrace = fs.String("pathtrace", "", "write sampled packet paths as Chrome trace lanes next to the engine tracks (implies -netsample 16 if unset)")
 		jsonOut   = fs.Bool("json", false, "emit the full result as JSON instead of the text report")
 		fidelity  = fs.String("fidelity", "packet", "flow fidelity: packet (all traffic packet-level) or hybrid (background HTTP on the analytic fluid plane, foreground packet-level)")
 		fluidQtm  = fs.Float64("fluid-quantum-us", 0, "hybrid: batch fluid rate recomputation onto this grid in µs (0 = exact; the scale knob for very large client counts)")
@@ -183,15 +182,10 @@ func run(args []string, out io.Writer, nowNano func() int64) error {
 	end := massf.Time(*horizon * float64(massf.Second))
 	cost := massf.Time(*eventCost * float64(massf.Microsecond))
 	// The flight recorder costs one ring append per barrier window, so it
-	// is only armed when a trace or straggler report was asked for. The
-	// path-trace lanes align to the engine tracks, so -pathtrace arms it
-	// too.
+	// is only armed when a trace or straggler report was asked for.
 	var tel *massf.Telemetry
-	if *traceOut != "" || *straggler > 0 || *pathTrace != "" {
+	if *traceOut != "" || *straggler > 0 {
 		tel = massf.NewTelemetry(*engines)
-	}
-	if *pathTrace != "" && *netSample == 0 {
-		*netSample = 16
 	}
 	var mon *massf.NetMon
 	if *netStats || *netSample > 0 {
@@ -366,44 +360,25 @@ func run(args []string, out io.Writer, nowNano func() int64) error {
 		for i := range setupSpans {
 			setupSpans[i] = int64(setupSec * 1e9)
 		}
-		err = massf.WriteChromeTraceEvents(tf,
-			massf.BuildTraceEventsWithSetup(tel.Windows.Snapshot(), setupSpans),
-			map[string]string{
-				"approach": a.String(),
-				"engines":  fmt.Sprint(*engines),
-				"net":      *netPath,
-			})
+		meta := map[string]string{
+			"approach": a.String(),
+			"engines":  fmt.Sprint(*engines),
+			"net":      *netPath,
+		}
+		var lanes []massf.TraceLane
+		if *netSample > 0 {
+			lanes = massf.PathLanes(mon.Spans())
+			meta["sample_every"] = fmt.Sprint(*netSample)
+		}
+		err = massf.WriteChromeTrace(tf, massf.BuildTraceEvents(tel.Windows.Snapshot(), setupSpans, lanes), meta)
 		if cerr := tf.Close(); err == nil {
 			err = cerr
 		}
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(out, "trace                %s (%d windows recorded)\n", *traceOut, res.Windows)
-	}
-	if *pathTrace != "" {
-		recs := tel.Windows.Snapshot()
-		spans := mon.Spans()
-		events := massf.BuildTraceEvents(recs)
-		events = append(events, massf.PathTraceEvents(spans, recs)...)
-		pf, err := os.Create(*pathTrace)
-		if err != nil {
-			return err
-		}
-		err = massf.WriteChromeTraceEvents(pf, events, map[string]string{
-			"approach":     a.String(),
-			"engines":      fmt.Sprint(*engines),
-			"net":          *netPath,
-			"sample_every": fmt.Sprint(*netSample),
-		})
-		if cerr := pf.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "pathtrace            %s (%d sampled paths, %d hop spans)\n",
-			*pathTrace, len(mon.Paths()), len(spans))
+		fmt.Fprintf(out, "trace                %s (%d windows recorded, %d sampled paths)\n",
+			*traceOut, res.Windows, len(lanes))
 	}
 	if *straggler > 0 {
 		rep := massf.AnalyzeFlight(tel.Windows.Snapshot(), *straggler)

@@ -90,23 +90,24 @@ func TestDerivedSeedIsReproducible(t *testing.T) {
 }
 
 // TestNetObservabilityFlags drives the command with the observability
-// plane on: the text report gains the net digest, -pathtrace writes a
-// loadable Chrome trace with path lanes, and -json emits the whole
-// result — including the netmon views — as one JSON document.
+// plane on: the text report gains the net digest, -trace writes one
+// loadable Chrome trace holding the engine tracks (with their setup
+// spans) and the sampled path lanes, and -json emits the whole result —
+// including the netmon views — as one JSON document.
 func TestNetObservabilityFlags(t *testing.T) {
 	netPath := writeTestNet(t)
-	tracePath := filepath.Join(t.TempDir(), "paths.json")
+	tracePath := filepath.Join(t.TempDir(), "trace.json")
 	base := []string{"-net", netPath, "-engines", "4", "-approach", "TOP2",
 		"-seconds", "2", "-app", "none", "-seed", "7"}
 
 	var text bytes.Buffer
 	err := run(append(append([]string{}, base...),
-		"-netstats", "-netsample", "4", "-pathtrace", tracePath), &text,
+		"-netstats", "-netsample", "4", "-trace", tracePath), &text,
 		func() int64 { return 1 })
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"net drops", "net flows", "net FCT", "net link[0]", "net paths", "pathtrace "} {
+	for _, want := range []string{"net drops", "net flows", "net FCT", "net link[0]", "net paths", "trace "} {
 		if !strings.Contains(text.String(), want) {
 			t.Errorf("text report missing %q:\n%s", want, text.String())
 		}
@@ -123,14 +124,20 @@ func TestNetObservabilityFlags(t *testing.T) {
 		} `json:"traceEvents"`
 	}
 	if err := json.Unmarshal(raw, &trace); err != nil {
-		t.Fatalf("pathtrace is not Chrome trace JSON: %v", err)
+		t.Fatalf("trace is not Chrome trace JSON: %v", err)
 	}
-	pids := map[int]int{}
+	slices := map[int]map[string]int{} // pid → slice name → count
 	for _, ev := range trace.TraceEvents {
-		pids[ev.PID]++
+		if slices[ev.PID] == nil {
+			slices[ev.PID] = map[string]int{}
+		}
+		slices[ev.PID][ev.Name]++
 	}
-	if len(pids) < 2 {
-		t.Fatalf("pathtrace has no extra path lanes beside the engine tracks: pids %v", pids)
+	if eng := slices[1]; eng["setup"] != 4 || eng["compute"] == 0 {
+		t.Fatalf("trace lacks the engine tracks with their setup spans: %v", eng)
+	}
+	if lanes := slices[2]; lanes["deliver"] == 0 {
+		t.Fatalf("trace lacks the sampled path lanes beside the engine tracks: %v", lanes)
 	}
 
 	var jsonBuf bytes.Buffer

@@ -63,6 +63,11 @@ func (c DropCause) String() string {
 	return "unknown"
 }
 
+// Span is the terminal path-span kind of a loss with this cause.
+func (c DropCause) Span() SpanKind { return dropSpans[c] }
+
+var dropSpans = [numCauses]SpanKind{SpanDropTail, SpanDropNoRoute, SpanDropTTL, SpanDropFault}
+
 // Options configures a Mon. Links and Horizon are required; everything
 // else has serviceable defaults.
 type Options struct {
@@ -408,11 +413,4 @@ func (m *Mon) Paths() []Path {
 		i = j
 	}
 	return out
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -240,14 +240,14 @@ func TestPathTraceEvents(t *testing.T) {
 		{Seq: 0, StartNS: 0, EndNS: 1000, WallNS: 4000},
 		{Seq: 1, StartNS: 1000, EndNS: 2000, WallNS: 1000},
 	}
-	events := PathTraceEvents(spans, recs)
+	events := telemetry.BuildTraceEvents(recs, nil, Lanes(spans))
 	if len(events) == 0 {
 		t.Fatal("no events")
 	}
 	lanes := map[int][]telemetry.TraceEvent{}
 	var procName string
 	for _, ev := range events {
-		if ev.PID != pathPID {
+		if ev.PID != 2 {
 			t.Fatalf("event on pid %d: %+v", ev.PID, ev)
 		}
 		if ev.Ph == "M" && ev.Name == "process_name" {
@@ -257,7 +257,7 @@ func TestPathTraceEvents(t *testing.T) {
 			lanes[ev.TID] = append(lanes[ev.TID], ev)
 		}
 	}
-	if procName != "network paths" {
+	if procName != "simulated-time lanes" {
 		t.Errorf("process name %q", procName)
 	}
 	if len(lanes) != 2 {
@@ -286,13 +286,13 @@ func TestPathTraceEvents(t *testing.T) {
 	}
 
 	// Identity mapping without records.
-	flat := PathTraceEvents(spans[:1], nil)
+	flat := telemetry.BuildTraceEvents(nil, nil, Lanes(spans[:1]))
 	for _, ev := range flat {
 		if ev.Ph == "X" && ev.TS != 0 {
 			t.Errorf("identity mapping start: %+v", ev)
 		}
 	}
-	if PathTraceEvents(nil, recs) != nil {
+	if len(telemetry.BuildTraceEvents(recs, nil, Lanes(nil))) != 0 {
 		t.Error("no spans must yield no events")
 	}
 }

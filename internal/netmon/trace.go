@@ -1,128 +1,38 @@
-// Chrome-trace rendering of sampled packet paths: one extra process
-// ("network paths") with one lane per traced packet, aligned with the
-// engine tracks telemetry.BuildTraceEvents draws for the same run, so a
-// packet's hops can be read against the barrier windows that carried them.
+// Chrome-trace rendering of sampled packet paths: one lane per traced
+// packet, drawn by telemetry.BuildTraceEvents beside the engine tracks of
+// the same run, so a packet's hops can be read against the barrier windows
+// that carried them.
 package netmon
 
 import (
 	"fmt"
-	"sort"
 
 	"massf/internal/telemetry"
 )
 
-// pathPID is the trace-event process id of the path lanes (the engine
-// tracks use PID 1).
-const pathPID = 2
-
-// timeSeg maps one barrier window's simulated-time span onto the synthetic
-// wall timeline BuildTraceEvents synthesizes from wall-clock deltas.
-type timeSeg struct {
-	simLo, simHi     int64
-	synthLo, synthWd int64
-}
-
-// buildTimeline reproduces BuildTraceEvents' synthetic timeline (window
-// w+1 starts max(WallNS, 1) after window w) keyed by each window's
-// simulated-time bounds. A nil/empty record set yields a nil timeline,
-// which maps simulated time identically.
-func buildTimeline(recs []telemetry.WindowRecord) []timeSeg {
-	var segs []timeSeg
-	var base int64
-	for i := range recs {
-		rec := &recs[i]
-		wall := rec.WallNS
-		if wall < 1 {
-			wall = 1
-		}
-		if rec.EndNS > rec.StartNS {
-			segs = append(segs, timeSeg{
-				simLo: rec.StartNS, simHi: rec.EndNS,
-				synthLo: base, synthWd: wall,
-			})
-		}
-		base += wall
-	}
-	return segs
-}
-
-// mapSim projects simulated time t onto the synthetic timeline: linear
-// interpolation inside the window that covers t, clamped into the nearest
-// window across the idle gaps the engine fast-forwards over.
-func mapSim(segs []timeSeg, t int64) int64 {
-	if len(segs) == 0 {
-		return t
-	}
-	i := sort.Search(len(segs), func(i int) bool { return segs[i].simHi > t })
-	if i == len(segs) {
-		last := segs[len(segs)-1]
-		return last.synthLo + last.synthWd
-	}
-	s := segs[i]
-	if t <= s.simLo {
-		return s.synthLo
-	}
-	return s.synthLo + (t-s.simLo)*s.synthWd/(s.simHi-s.simLo)
-}
-
-// PathTraceEvents renders hop spans as Chrome trace events: a "network
-// paths" process beside the engine tracks, one lane per traced packet,
-// each hop a complete slice positioned by projecting its simulated-time
-// span through the run's window records onto the same synthetic timeline
-// the engine tracks use (identity mapping when recs is empty, e.g. for a
-// run traced without a telemetry ring).
-func PathTraceEvents(spans []HopSpan, recs []telemetry.WindowRecord) []telemetry.TraceEvent {
-	if len(spans) == 0 {
-		return nil
-	}
+// Lanes turns hop spans into trace lanes, one per traced packet in trace
+// id order, each hop a slice in simulated time.
+func Lanes(spans []HopSpan) []telemetry.Lane {
 	sorted := make([]HopSpan, len(spans))
 	copy(sorted, spans)
 	SortSpans(sorted)
-	segs := buildTimeline(recs)
-
-	events := []telemetry.TraceEvent{{
-		Name: "process_name", Ph: "M", PID: pathPID,
-		Args: map[string]any{"name": "network paths"},
-	}, {
-		Name: "process_sort_index", Ph: "M", PID: pathPID,
-		Args: map[string]any{"sort_index": 1},
-	}}
-	tid := -1
-	var lastTrace uint64
-	var cursor int64
+	var lanes []telemetry.Lane
 	for i := range sorted {
 		sp := &sorted[i]
-		if tid < 0 || sp.Trace != lastTrace {
-			tid++
-			lastTrace = sp.Trace
-			cursor = 0
+		if len(lanes) == 0 || sp.Trace != sorted[i-1].Trace {
 			kind := "pkt"
 			if sp.Ack {
 				kind = "ack"
 			}
-			events = append(events, telemetry.TraceEvent{
-				Name: "thread_name", Ph: "M", PID: pathPID, TID: tid,
-				Args: map[string]any{"name": fmt.Sprintf("%s %d→%d #%x", kind, sp.Src, sp.Dst, sp.Trace)},
-			}, telemetry.TraceEvent{
-				Name: "thread_sort_index", Ph: "M", PID: pathPID, TID: tid,
-				Args: map[string]any{"sort_index": tid},
-			})
-		}
-		start := mapSim(segs, int64(sp.Start))
-		if start < cursor {
-			start = cursor // viewers need strictly ordered slice starts
-		}
-		dur := mapSim(segs, int64(sp.End)) - start
-		if dur < 1 {
-			dur = 1
+			lanes = append(lanes, telemetry.Lane{Name: fmt.Sprintf("%s %d→%d #%x", kind, sp.Src, sp.Dst, sp.Trace)})
 		}
 		name := string(sp.Kind)
 		if sp.Kind == SpanHop {
 			name = fmt.Sprintf("link %d", sp.Link)
 		}
-		events = append(events, telemetry.TraceEvent{
-			Name: name, Ph: "X", PID: pathPID, TID: tid,
-			TS: float64(start) / 1e3, Dur: float64(dur) / 1e3,
+		l := &lanes[len(lanes)-1]
+		l.Slices = append(l.Slices, telemetry.LaneSlice{
+			Name: name, StartNS: int64(sp.Start), EndNS: int64(sp.End),
 			Args: map[string]any{
 				"trace":        fmt.Sprintf("%#x", sp.Trace),
 				"node":         sp.Node,
@@ -134,7 +44,6 @@ func PathTraceEvents(spans []HopSpan, recs []telemetry.WindowRecord) []telemetry
 				"sim_end_ns":   int64(sp.End),
 			},
 		})
-		cursor = start + dur
 	}
-	return events
+	return lanes
 }

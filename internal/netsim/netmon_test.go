@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"massf/internal/model"
 	"massf/internal/netmon"
 	"massf/internal/routing/ospf"
+	"massf/internal/telemetry"
 )
 
 // monSim is sim() with a netmon plane and a queue-size override attached.
@@ -200,5 +202,73 @@ func TestNetCodecTracePropagation(t *testing.T) {
 	_, traced, _ := c.Encode(&hopEvent{s: s, pkt: Packet{Src: 1, Dst: 2, Bits: 8, trace: 5}})
 	if len(traced)-len(plain) != 8 {
 		t.Fatalf("trace id costs %d wire bytes, want 8", len(traced)-len(plain))
+	}
+}
+
+// TestPathLanesInsideTheirWindows traces a real two-engine run with setup
+// spans and sampled paths, and requires every path-lane slice of the
+// combined Chrome trace to start inside the synthetic span of the window
+// that executed its first instant and to end inside the span of the
+// window that executed its last.
+func TestPathLanesInsideTheirWindows(t *testing.T) {
+	net, a, b := chainNet(3, des.Millisecond, 20_000_000)
+	part := make([]int32, len(net.Nodes))
+	for n := 2; n < len(net.Nodes); n++ {
+		part[n] = 1
+	}
+	tel := telemetry.New(2, 1<<16)
+	mon := netmon.New(netmon.Options{Links: len(net.Links), Horizon: 2 * des.Second, SampleEvery: 3})
+	s, err := New(Config{
+		Net: net, Routes: ospf.NewDomain(net, nil), Part: part, Engines: 2,
+		Window: des.Millisecond, End: 2 * des.Second, Sync: cluster.Fixed{CostNS: 1000}, Seed: 1,
+		Telemetry: tel, NetMon: mon, QueueBytes: 4000,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.StartFlow(0, a, b, 400_000, nil)
+	s.StartFlow(des.Millisecond, b, a, 100_000, nil)
+	s.Run()
+
+	recs := tel.Windows.Snapshot()
+	setup := []int64{3_000_000, 7_000_000}
+	events := telemetry.BuildTraceEvents(recs, setup, netmon.Lanes(mon.Spans()))
+
+	// Window i spans [lo[i], lo[i]+wd[i]] on the synthetic timeline, which
+	// starts once the slowest setup has finished.
+	lo, wd := make([]int64, len(recs)), make([]int64, len(recs))
+	base := setup[1]
+	for i, rec := range recs {
+		lo[i], wd[i] = base, max(rec.WallNS, 1)
+		base += wd[i]
+	}
+	window := func(simNS int64) int {
+		for i, rec := range recs {
+			if rec.StartNS <= simNS && simNS < rec.EndNS {
+				return i
+			}
+		}
+		return -1
+	}
+	inside := func(ns int64, w int) bool { return ns >= lo[w] && ns <= lo[w]+wd[w] }
+	checked := 0
+	for _, ev := range events {
+		if ev.Ph != "X" || ev.PID != 2 {
+			continue
+		}
+		ws, we := window(ev.Args["sim_start_ns"].(int64)), window(ev.Args["sim_end_ns"].(int64))
+		if ws < 0 || we < 0 {
+			continue // lands past the horizon, where no window runs
+		}
+		start := int64(math.Round(ev.TS * 1e3))
+		end := start + int64(math.Round(ev.Dur*1e3))
+		if !inside(start, ws) || !inside(end, we) {
+			t.Fatalf("lane %d slice %q at [%d, %d] ns: not inside windows %d [%d, %d] and %d [%d, %d]",
+				ev.TID, ev.Name, start, end, ws, lo[ws], lo[ws]+wd[ws], we, lo[we], lo[we]+wd[we])
+		}
+		checked++
+	}
+	if checked == 0 {
+		t.Fatal("the trace carries no path-lane slices")
 	}
 }

@@ -86,9 +86,9 @@ type Config struct {
 	QueueBytes int64
 	// Telemetry, when non-nil, receives live observability data: the
 	// engine-level per-window records (see pdes.Config.Telemetry) plus
-	// network counters — transmitted link bits (utilization), queue
-	// drops, TCP retransmissions, delivered payload, and flow counts.
-	// Nil disables all instrumentation.
+	// the massf_net_* counters, folded once per window from the same
+	// per-engine counters Result is built from (record.go). Nil disables
+	// all instrumentation.
 	Telemetry *telemetry.SimTelemetry
 	// Invariants, when non-nil, enables the parallel engine's runtime
 	// invariant checks (lookahead/causality, exchange parity, drain order,
@@ -222,7 +222,6 @@ type Sim struct {
 	cfg  Config
 	ps   *pdes.Sim
 	part []int32
-	tel  *telemetry.SimTelemetry
 	mon  *netmon.Mon // nil ⇒ network observability off, zero overhead
 
 	dirs       []linkDir // 2*link+dirIndex
@@ -231,14 +230,13 @@ type Sim struct {
 
 	faults     FaultPlane // nil ⇒ static routing, zero fault overhead
 	faultDrops [][]uint64 // [engine][fault]: losses attributed to each fault
+	lastFault  int        // latest fault marker fired (engine 0 owned)
 
 	fluid         *fluid.Plane // nil ⇒ pure packet mode, zero overhead
 	fluidByEngine [][]fluidEnt // per-engine completion schedule (sorted)
 
-	flowsByEngine [][]*flow // flows started, accumulated per owning engine
-	delivered     []uint64  // per-engine bits delivered to hosts
-	dropped       []uint64  // per-engine packet drops
-	retrans       []uint64  // per-engine TCP retransmissions
+	ctr    []engCounters       // per-engine network counters
+	folded [numCounters]uint64 // totals at the previous telemetry fold
 
 	hopFree [][]*hopEvent // per-engine hop event pools
 
@@ -285,19 +283,15 @@ func New(cfg Config) (*Sim, error) {
 		}
 	}
 	s := &Sim{
-		cfg:           cfg,
-		part:          part,
-		tel:           cfg.Telemetry,
-		mon:           cfg.NetMon,
-		dirs:          make([]linkDir, 2*len(cfg.Net.Links)),
-		nodeEvents:    make([]uint64, len(cfg.Net.Nodes)),
-		queueNS:       make([]int64, len(cfg.Net.Links)),
-		flowsByEngine: make([][]*flow, cfg.Engines),
-		delivered:     make([]uint64, cfg.Engines),
-		dropped:       make([]uint64, cfg.Engines),
-		retrans:       make([]uint64, cfg.Engines),
-		hopFree:       make([][]*hopEvent, cfg.Engines),
-		tags:          make(map[uint16]TagResolver),
+		cfg:        cfg,
+		part:       part,
+		mon:        cfg.NetMon,
+		dirs:       make([]linkDir, 2*len(cfg.Net.Links)),
+		nodeEvents: make([]uint64, len(cfg.Net.Nodes)),
+		queueNS:    make([]int64, len(cfg.Net.Links)),
+		ctr:        make([]engCounters, cfg.Engines),
+		hopFree:    make([][]*hopEvent, cfg.Engines),
+		tags:       make(map[uint16]TagResolver),
 	}
 	pcfg := pdes.Config{
 		Engines: cfg.Engines, Window: cfg.Window, End: cfg.End,
@@ -305,6 +299,7 @@ func New(cfg Config) (*Sim, error) {
 		Seed: cfg.Seed, SeriesBuckets: cfg.SeriesBuckets,
 		RealTimeFactor: cfg.RealTimeFactor,
 		Telemetry:      cfg.Telemetry,
+		OnWindow:       s.foldTelemetry,
 		Invariants:     cfg.Invariants,
 	}
 	s.hostLo, s.hostHi = 0, cfg.Engines
@@ -356,11 +351,8 @@ func New(cfg Config) (*Sim, error) {
 				continue
 			}
 			s.ps.Engine(0).Schedule(at, func(des.Time) {
-				if s.tel != nil {
-					s.tel.FaultEvents.Inc()
-					s.tel.FaultConverge.Set(s.faults.FaultConvergeNS(i))
-					s.tel.FaultRoutesAt.Set(int64(s.faults.FaultRoutesAt(i)))
-				}
+				s.ctr[0].n[cFaultEvents]++
+				s.lastFault = i
 			})
 		}
 	}
@@ -434,20 +426,6 @@ func (s *Sim) nextLink(now des.Time, cur, dst model.NodeID) model.LinkID {
 	return s.cfg.Routes.NextLink(cur, dst)
 }
 
-// faultDrop records a packet lost to fault fi (-1 for an unattributed
-// fault-state drop) at node's engine.
-func (s *Sim) faultDrop(node model.NodeID, fi int) {
-	e := s.EngineOf(node)
-	s.dropped[e]++
-	if fi >= 0 {
-		s.faultDrops[e][fi]++
-	}
-	if s.tel != nil {
-		s.tel.Drops.Inc()
-		s.tel.FaultDrops.Inc()
-	}
-}
-
 // EngineOf returns the engine that owns node n.
 func (s *Sim) EngineOf(n model.NodeID) int { return int(s.part[n]) }
 
@@ -462,32 +440,6 @@ func (s *Sim) Owned(n model.NodeID) bool { return s.hostedEngine(s.EngineOf(n)) 
 
 // SliceBuilt reports whether this Sim was built in slice mode.
 func (s *Sim) SliceBuilt() bool { return s.slice }
-
-// arriveDir is the netmon direction index of the link direction a packet
-// ARRIVED over at node: the transmitting end was the far endpoint, so the
-// index is 2*via (+1 when the sender was the link's B end). -1 when the
-// packet did not cross a link.
-func (s *Sim) arriveDir(node model.NodeID, via model.LinkID) int {
-	if via < 0 {
-		return -1
-	}
-	d := 2 * int(via)
-	if s.cfg.Net.Links[via].A == node {
-		d++ // sender was B
-	}
-	return d
-}
-
-// monSpan records one path span of a traced packet. Callers guard on
-// s.mon != nil && pkt.trace != 0.
-func (s *Sim) monSpan(pkt *Packet, node model.NodeID, link model.LinkID, start, end des.Time, kind netmon.SpanKind) {
-	s.mon.Span(netmon.HopSpan{
-		Trace: pkt.trace, Src: pkt.Src, Dst: pkt.Dst,
-		Node: node, Link: link, Kind: kind,
-		Start: start, End: end, Engine: s.EngineOf(node),
-		Ack: pkt.Ack, Seq: pkt.Seq,
-	})
-}
 
 // ScheduleAt schedules fn to run at simulated time at in the context of
 // node n's engine. Use during setup (before Run) or from a handler already
@@ -525,13 +477,7 @@ func (s *Sim) transmit(node model.NodeID, lid model.LinkID, pkt Packet) {
 	now := eng.Now()
 	if s.faults != nil {
 		if up, fi := s.faults.LinkUp(now, lid); !up {
-			s.faultDrop(node, fi)
-			if s.mon != nil {
-				s.mon.LinkDrop(dirIdx, now, netmon.DropFault)
-				if pkt.trace != 0 {
-					s.monSpan(&pkt, node, lid, now, now, netmon.SpanDropFault)
-				}
-			}
+			s.drop(node, dirIdx, now, netmon.DropFault, fi, &pkt)
 			return
 		}
 	}
@@ -558,31 +504,12 @@ func (s *Sim) transmit(node model.NodeID, lid model.LinkID, pkt Packet) {
 		start = dir.busyUntil
 	}
 	if int64(start-now) > queueNS {
-		dir.drops++
-		s.dropped[eng.ID()]++
-		if s.tel != nil {
-			s.tel.Drops.Inc()
-		}
-		if s.mon != nil {
-			s.mon.LinkDrop(dirIdx, now, netmon.DropTail)
-			if pkt.trace != 0 {
-				s.monSpan(&pkt, node, lid, now, now, netmon.SpanDropTail)
-			}
-		}
-		return // tail drop
+		s.drop(node, dirIdx, now, netmon.DropTail, -1, &pkt)
+		return
 	}
 	dir.busyUntil = start + ser
-	dir.bits += uint64(pkt.Bits)
-	if s.tel != nil {
-		s.tel.LinkBits.Add(uint64(pkt.Bits))
-	}
 	arrival := start + ser + des.Time(l.Latency)
-	if s.mon != nil {
-		s.mon.LinkSend(dirIdx, now, pkt.Bits, int64(start-now))
-		if pkt.trace != 0 {
-			s.monSpan(&pkt, node, lid, now, arrival, netmon.SpanHop)
-		}
-	}
+	s.sent(node, dirIdx, now, start, arrival, &pkt)
 	next := l.Other(node)
 	if arrival >= s.cfg.End {
 		return // beyond horizon; nobody will process it
@@ -607,62 +534,29 @@ func (s *Sim) arrive(now des.Time, node model.NodeID, via model.LinkID, pkt Pack
 		// packet with it; a failed node neither receives nor forwards.
 		if via >= 0 {
 			if up, fi := s.faults.LinkUp(now, via); !up {
-				s.faultDrop(node, fi)
-				if s.mon != nil {
-					s.mon.LinkDrop(s.arriveDir(node, via), now, netmon.DropFault)
-					if pkt.trace != 0 {
-						s.monSpan(&pkt, node, via, now, now, netmon.SpanDropFault)
-					}
-				}
+				s.drop(node, s.arriveDir(node, via), now, netmon.DropFault, fi, &pkt)
 				return
 			}
 		}
 		if up, fi := s.faults.NodeUp(now, node); !up {
-			s.faultDrop(node, fi)
-			if s.mon != nil {
-				s.mon.LinkDrop(s.arriveDir(node, via), now, netmon.DropFault)
-				if pkt.trace != 0 {
-					s.monSpan(&pkt, node, via, now, now, netmon.SpanDropFault)
-				}
-			}
+			s.drop(node, s.arriveDir(node, via), now, netmon.DropFault, fi, &pkt)
 			return
 		}
 	}
 	s.nodeEvents[node]++
 	if node == pkt.Dst {
-		if s.mon != nil && pkt.trace != 0 {
-			s.monSpan(&pkt, node, -1, now, now, netmon.SpanDeliver)
-		}
-		s.deliver(node, pkt)
+		s.deliver(now, node, pkt)
 		return
 	}
 	pkt.ttl--
 	if pkt.ttl <= 0 {
-		s.dropped[s.EngineOf(node)]++
-		if s.tel != nil {
-			s.tel.Drops.Inc()
-		}
-		if s.mon != nil {
-			s.mon.LinkDrop(s.arriveDir(node, via), now, netmon.DropTTL)
-			if pkt.trace != 0 {
-				s.monSpan(&pkt, node, via, now, now, netmon.SpanDropTTL)
-			}
-		}
+		s.drop(node, s.arriveDir(node, via), now, netmon.DropTTL, -1, &pkt)
 		return // TTL exhausted (forwarding loop protection)
 	}
 	lid := s.nextLink(now, node, pkt.Dst)
 	if lid < 0 {
-		s.dropped[s.EngineOf(node)]++
-		if s.tel != nil {
-			s.tel.Drops.Inc()
-		}
-		if s.mon != nil {
-			s.mon.LinkDrop(s.arriveDir(node, via), now, netmon.DropNoRoute)
-			if pkt.trace != 0 {
-				s.monSpan(&pkt, node, via, now, now, netmon.SpanDropNoRoute)
-			}
-		}
-		return // no route
+		s.drop(node, s.arriveDir(node, via), now, netmon.DropNoRoute, -1, &pkt)
+		return
 	}
 	s.transmit(node, lid, pkt)
 }
@@ -672,40 +566,29 @@ func (s *Sim) arrive(now des.Time, node model.NodeID, via model.LinkID, pkt Pack
 func (s *Sim) inject(now des.Time, pkt Packet) {
 	if s.faults != nil {
 		if up, fi := s.faults.NodeUp(now, pkt.Src); !up {
-			s.faultDrop(pkt.Src, fi)
-			if s.mon != nil {
-				s.mon.LinkDrop(-1, now, netmon.DropFault)
-			}
+			s.drop(pkt.Src, -1, now, netmon.DropFault, fi, &pkt)
 			return
 		}
 	}
 	pkt.ttl = DefaultTTL
-	if s.mon != nil {
-		pkt.trace = s.mon.SampleTrace(pkt.Src, pkt.Dst, pkt.Seq, pkt.Ack, pkt.Bits, now)
-	}
+	s.sample(&pkt, now)
 	s.nodeEvents[pkt.Src]++
 	if pkt.Src == pkt.Dst {
-		if s.mon != nil && pkt.trace != 0 {
-			s.monSpan(&pkt, pkt.Dst, -1, now, now, netmon.SpanDeliver)
-		}
-		s.deliver(pkt.Dst, pkt)
+		s.deliver(now, pkt.Dst, pkt)
 		return
 	}
-	lid := s.nextLink(now, pkt.Src, pkt.Dst)
+	s.route(pkt.Src, now, pkt)
+}
+
+// route forwards a packet that originates at node: the first hop, or a
+// drop when no route leads to its destination. Must run on node's engine.
+func (s *Sim) route(node model.NodeID, now des.Time, pkt Packet) {
+	lid := s.nextLink(now, node, pkt.Dst)
 	if lid < 0 {
-		s.dropped[s.EngineOf(pkt.Src)]++
-		if s.tel != nil {
-			s.tel.Drops.Inc()
-		}
-		if s.mon != nil {
-			s.mon.LinkDrop(-1, now, netmon.DropNoRoute)
-			if pkt.trace != 0 {
-				s.monSpan(&pkt, pkt.Src, -1, now, now, netmon.SpanDropNoRoute)
-			}
-		}
+		s.drop(node, -1, now, netmon.DropNoRoute, -1, &pkt)
 		return
 	}
-	s.transmit(pkt.Src, lid, pkt)
+	s.transmit(node, lid, pkt)
 }
 
 // SendUDP schedules a one-shot datagram of the given size from src at time
@@ -773,31 +656,35 @@ type Result struct {
 }
 
 // Run executes the simulation and gathers results. In distributed mode the
-// Result is this worker's PARTIAL view: counters cover only state written
-// by the hosted engines (everything else stays zero), and per-worker
-// partials merge by sum — except flow completion times, which merge by
+// Result is this worker's PARTIAL view: counters cover only the hosted
+// engines (replicated setup starts every flow on every worker, but only
+// the engine owning a flow's source counts it), and per-worker partials
+// merge by sum — except flow completion times, which merge by
 // take-nonzero/max (see simcheck.MergeObservations).
 func (s *Sim) Run() Result {
 	s.running = true
 	s.udpSetup = len(s.udpCbs)
 	stats := s.ps.Run()
+	s.foldTelemetry()
 	if s.mon != nil {
 		s.mon.Close() // end live flow-completion streams
 	}
+	t, lastDone := s.totals()
 	res := Result{
-		Stats:      stats,
-		NodeEvents: s.nodeEvents,
-		LinkBits:   make([]uint64, len(s.cfg.Net.Links)),
-		LinkDrops:  make([]uint64, len(s.cfg.Net.Links)),
+		Stats:           stats,
+		NodeEvents:      s.nodeEvents,
+		LinkBits:        make([]uint64, len(s.cfg.Net.Links)),
+		LinkDrops:       make([]uint64, len(s.cfg.Net.Links)),
+		Dropped:         t[cDropped],
+		Retransmissions: t[cRetrans],
+		DeliveredBits:   t[cDelivered],
+		FlowsStarted:    int(t[cFlowsStarted]),
+		FlowsCompleted:  int(t[cFlowsDone]),
+		LastCompletion:  lastDone,
 	}
 	for i := range s.cfg.Net.Links {
 		res.LinkBits[i] = s.dirs[2*i].bits + s.dirs[2*i+1].bits
 		res.LinkDrops[i] = s.dirs[2*i].drops + s.dirs[2*i+1].drops
-	}
-	for e := 0; e < s.cfg.Engines; e++ {
-		res.Dropped += s.dropped[e]
-		res.DeliveredBits += s.delivered[e]
-		res.Retransmissions += s.retrans[e]
 	}
 	if s.faults != nil {
 		res.FaultDrops = make([]uint64, s.faults.NumFaults())
@@ -809,23 +696,6 @@ func (s *Sim) Run() Result {
 	}
 	if s.fluid != nil {
 		s.fluidResult(&res)
-	}
-	// Replicated setup starts every flow on every worker; only the engine
-	// owning a flow's source runs its sender, so a distributed worker
-	// counts the hosted ranges and the merge sums to the global totals.
-	for e, flows := range s.flowsByEngine {
-		if e < s.hostLo || e >= s.hostHi {
-			continue
-		}
-		for _, f := range flows {
-			res.FlowsStarted++
-			if f.done {
-				res.FlowsCompleted++
-				if f.completedAt > res.LastCompletion {
-					res.LastCompletion = f.completedAt
-				}
-			}
-		}
 	}
 	return res
 }

@@ -57,7 +57,6 @@ type flow struct {
 	rtoh           rtoHandler // embedded so arming the timer allocates nothing
 	sendTime       []des.Time // per-seq first-send time; 0 after retransmit (Karn)
 	done           bool
-	completedAt    des.Time
 	onComplete     func(at des.Time)
 
 	// Receiver state.
@@ -132,15 +131,8 @@ func (s *Sim) startFlow(at des.Time, src, dst model.NodeID, bytes int64, onCompl
 		ooo:        map[int32]bool{},
 	}
 	f.rtoh = rtoHandler{s: s, f: f}
-	if s.mon != nil {
-		f.rec = s.mon.FlowStarted(at, src, dst, bytes)
-	}
+	s.flowStarted(f, at, bytes)
 	s.registerFlow(f)
-	eng := s.EngineOf(src)
-	s.flowsByEngine[eng] = append(s.flowsByEngine[eng], f)
-	if s.tel != nil {
-		s.tel.FlowsStarted.Inc()
-	}
 	s.ScheduleAt(src, at, func(des.Time) { s.sendWindow(f) })
 }
 
@@ -182,31 +174,12 @@ func (s *Sim) sendSeg(f *flow, seq int32, fresh bool) {
 		f.sendTime[seq] = now
 	} else {
 		f.sendTime[seq] = 0
-		s.retrans[eng.ID()]++
-		if s.tel != nil {
-			s.tel.Retransmits.Inc()
-		}
-		if f.rec != nil {
-			f.rec.Retransmit()
-		}
+		s.retransmitted(f)
 	}
 	s.nodeEvents[f.src]++
 	pkt := Packet{Src: f.src, Dst: f.dst, Bits: f.segBits(seq), Seq: seq, flow: f, ttl: DefaultTTL}
-	if s.mon != nil {
-		pkt.trace = s.mon.SampleTrace(pkt.Src, pkt.Dst, pkt.Seq, false, pkt.Bits, now)
-	}
-	lid := s.nextLink(now, f.src, f.dst)
-	if lid < 0 {
-		s.dropped[eng.ID()]++
-		if s.mon != nil {
-			s.mon.LinkDrop(-1, now, netmon.DropNoRoute)
-			if pkt.trace != 0 {
-				s.monSpan(&pkt, f.src, -1, now, now, netmon.SpanDropNoRoute)
-			}
-		}
-		return
-	}
-	s.transmit(f.src, lid, pkt)
+	s.sample(&pkt, now)
+	s.route(f.src, now, pkt)
 }
 
 // armRTO (re)schedules the retransmission timer. Runs on the source engine.
@@ -269,21 +242,8 @@ func (s *Sim) onData(f *flow, pkt Packet) {
 	}
 	// ACK travels back through the network like any packet.
 	ack := Packet{Src: f.dst, Dst: f.src, Bits: AckBytes * 8, Ack: true, AckNum: f.recvNext, flow: f, ttl: DefaultTTL}
-	if s.mon != nil {
-		ack.trace = s.mon.SampleTrace(ack.Src, ack.Dst, ack.AckNum, true, ack.Bits, now)
-	}
-	lid := s.nextLink(now, f.dst, f.src)
-	if lid < 0 {
-		s.dropped[s.EngineOf(f.dst)]++
-		if s.mon != nil {
-			s.mon.LinkDrop(-1, now, netmon.DropNoRoute)
-			if ack.trace != 0 {
-				s.monSpan(&ack, f.dst, -1, now, now, netmon.SpanDropNoRoute)
-			}
-		}
-		return
-	}
-	s.transmit(f.dst, lid, ack)
+	s.sample(&ack, now)
+	s.route(f.dst, now, ack)
 }
 
 // onAck handles a cumulative ACK at the sender. Runs on the source engine.
@@ -324,14 +284,7 @@ func (s *Sim) onAck(f *flow, pkt Packet) {
 			f.rec.Sample(now, f.srtt, f.cwnd)
 		}
 		if f.ackedTo >= f.totalPkts {
-			f.done = true
-			f.completedAt = now
-			if s.tel != nil {
-				s.tel.FlowsDone.Inc()
-			}
-			if f.rec != nil {
-				s.mon.FlowCompleted(f.rec, now)
-			}
+			s.flowDone(f, now)
 			eng.Cancel(f.rtoEvent)
 			f.rtoArmed = false
 			if f.onComplete != nil {
@@ -384,31 +337,4 @@ func clampRTO(rto des.Time) des.Time {
 		return maxRTO
 	}
 	return rto
-}
-
-// deliver dispatches a packet that reached its destination node. Runs on
-// the destination's engine.
-func (s *Sim) deliver(node model.NodeID, pkt Packet) {
-	eng := s.EngineOf(node)
-	if pkt.flow == nil && pkt.wref != nil {
-		pkt.flow = s.adoptFlow(&pkt) // wire packet for a flow this worker has not seen
-	}
-	switch {
-	case pkt.flow != nil && pkt.Ack:
-		s.onAck(pkt.flow, pkt)
-	case pkt.flow != nil:
-		s.delivered[eng] += uint64(pkt.Bits)
-		if s.tel != nil {
-			s.tel.DeliveredBits.Add(uint64(pkt.Bits))
-		}
-		s.onData(pkt.flow, pkt)
-	default:
-		s.delivered[eng] += uint64(pkt.Bits)
-		if s.tel != nil {
-			s.tel.DeliveredBits.Add(uint64(pkt.Bits))
-		}
-		if pkt.deliverCb != nil {
-			pkt.deliverCb(s.ps.Engine(eng).Now())
-		}
-	}
 }

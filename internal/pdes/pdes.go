@@ -75,6 +75,12 @@ type Config struct {
 	// then pays only a nil check per window. Use one SimTelemetry per
 	// run — Run closes its window ring on completion.
 	Telemetry *telemetry.SimTelemetry
+	// OnWindow, when set alongside Telemetry, runs on engine 0 between the
+	// two barriers of every executed window, just before the window's
+	// record is published. Every engine is parked there, so it may read
+	// state the engines own. netsim sets it to fold its network counters
+	// into Telemetry; the distributed transport loop never calls it.
+	OnWindow func()
 
 	// Transport, when non-nil, runs this Sim as ONE WORKER of a distributed
 	// simulation: only the engines in [FirstEngine, FirstEngine+HostedEngines)
@@ -595,6 +601,9 @@ func (s *Sim) Run() Stats {
 						now := time.Now()
 						wall := int64(now.Sub(lastTick))
 						lastTick = now
+						if cfg.OnWindow != nil {
+							cfg.OnWindow()
+						}
 						s.publishWindow(tel, w, wEnd, wall, m,
 							evScratch, remScratch, waitScratch, depthScratch,
 							compScratch, exchScratch)

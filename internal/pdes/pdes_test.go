@@ -578,7 +578,7 @@ func TestFlightRecorderSpans(t *testing.T) {
 		}
 	}
 	// The real recording must export as a well-formed Chrome trace.
-	events := telemetry.BuildTraceEvents(recs)
+	events := telemetry.BuildTraceEvents(recs, nil, nil)
 	last := map[int]float64{}
 	tracks := map[int]bool{}
 	for _, ev := range events {
@@ -593,5 +593,43 @@ func TestFlightRecorderSpans(t *testing.T) {
 	}
 	if len(tracks) != 2 {
 		t.Errorf("trace has %d tracks, want 2", len(tracks))
+	}
+}
+
+// TestOnWindowRunsBeforeEachPublish pins the per-window hook netsim folds
+// its counters through: one call per executed window, on engine 0 after
+// every engine has finished the window and before its record is published.
+func TestOnWindowRunsBeforeEachPublish(t *testing.T) {
+	tel := telemetry.New(2, 128)
+	var calls uint64
+	var seen [2]uint64 // events engine e ran, as of the latest call
+	var ran [2]uint64
+	s, err := New(Config{
+		Engines: 2, Window: des.Millisecond, End: 6 * des.Millisecond,
+		Sync: cluster.Fixed{CostNS: 1000}, Telemetry: tel,
+		OnWindow: func() {
+			if got := tel.WindowsDone.Load(); got != calls {
+				t.Errorf("call %d after %d published windows", calls, got)
+			}
+			calls++
+			seen = ran
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for w := 0; w < 6; w += 2 { // windows 1, 3 and 5 are idle and skipped
+		at := des.Time(w)*des.Millisecond + 100*des.Microsecond
+		for e := 0; e < 2; e++ {
+			e := e
+			s.Engine(e).Schedule(at, func(des.Time) { ran[e]++ })
+		}
+	}
+	stats := s.Run()
+	if calls == 0 || calls != uint64(stats.Windows) {
+		t.Fatalf("OnWindow ran %d times over %d executed windows", calls, stats.Windows)
+	}
+	if seen != ran {
+		t.Fatalf("last call saw engine events %v, the run executed %v", seen, ran)
 	}
 }

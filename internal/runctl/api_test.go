@@ -11,66 +11,25 @@ import (
 	"time"
 )
 
-// TestAPIVersionedAliases pins the /api/v1 redesign's compatibility
-// contract: every legacy unversioned route is a thin alias of its
-// versioned twin — byte-identical bodies (success and error envelopes
-// alike), with the Deprecation/Link headers only on the legacy side.
-func TestAPIVersionedAliases(t *testing.T) {
+// TestAPIUnversionedRoutesGone pins the route table: every route is
+// served under /api/v1 only, so the retired unversioned paths answer 404.
+func TestAPIUnversionedRoutesGone(t *testing.T) {
 	mgr := NewManager(2, 256)
 	ts := httptest.NewServer(NewServer(mgr))
 	defer ts.Close()
 
-	info := submitSpec(t, ts.URL, testSpec("aliased", 3, 0.3, 0))
+	info := submitViaPath(t, ts.URL, APIPrefix+"/runs", testSpec("v1-submit", 3, 0.3, 0))
 	waitState(t, ts.URL, info.ID, 30*time.Second, func(i Info) bool { return i.State.Terminal() })
-
-	paths := []string{
-		"/healthz",
-		"/runs",
-		"/runs/" + info.ID,
-		"/runs/" + info.ID + "/metrics?follow=0",
-		"/runs/" + info.ID + "/profile",
-		"/runs/r9999",                  // not_found envelope
-		"/runs/" + info.ID + "/faults", // not_found (no script)
-		"/metrics",
-	}
-	for _, path := range paths {
-		legacy, err := http.Get(ts.URL + path)
+	for _, path := range []string{"/healthz", "/runs", "/runs/" + info.ID, "/metrics"} {
+		resp, err := http.Get(ts.URL + path)
 		if err != nil {
 			t.Fatalf("GET %s: %v", path, err)
 		}
-		legacyBody, _ := io.ReadAll(legacy.Body)
-		legacy.Body.Close()
-
-		vpath := APIPrefix + path
-		versioned, err := http.Get(ts.URL + vpath)
-		if err != nil {
-			t.Fatalf("GET %s: %v", vpath, err)
-		}
-		versionedBody, _ := io.ReadAll(versioned.Body)
-		versioned.Body.Close()
-
-		if legacy.StatusCode != versioned.StatusCode {
-			t.Errorf("%s: status %d vs %d on %s", path, legacy.StatusCode, versioned.StatusCode, vpath)
-		}
-		if !bytes.Equal(legacyBody, versionedBody) {
-			t.Errorf("%s: body differs from %s:\nlegacy:    %s\nversioned: %s",
-				path, vpath, truncate(string(legacyBody), 400), truncate(string(versionedBody), 400))
-		}
-		if legacy.Header.Get("Deprecation") != "true" {
-			t.Errorf("%s: legacy route missing Deprecation header", path)
-		}
-		wantLink := "<" + APIPrefix + strings.SplitN(path, "?", 2)[0] + ">; rel=\"successor-version\""
-		if got := legacy.Header.Get("Link"); got != wantLink {
-			t.Errorf("%s: Link header %q, want %q", path, got, wantLink)
-		}
-		if versioned.Header.Get("Deprecation") != "" {
-			t.Errorf("%s: canonical route carries a Deprecation header", vpath)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("GET %s: status %d, want 404 (only %s%s is served)", path, resp.StatusCode, APIPrefix, path)
 		}
 	}
-
-	// The versioned prefix also serves the mutating routes.
-	v1 := submitViaPath(t, ts.URL, APIPrefix+"/runs", testSpec("v1-submit", 4, 0.3, 0))
-	waitState(t, ts.URL, v1.ID, 30*time.Second, func(i Info) bool { return i.State.Terminal() })
 }
 
 func submitViaPath(t *testing.T, base, path string, spec Spec) Info {

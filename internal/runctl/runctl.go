@@ -168,8 +168,11 @@ func parseWorkload(name string) (experiments.Workload, error) {
 // State is a run's lifecycle phase.
 type State string
 
-// Run states. queued → running → done | failed | cancelled; a queued
-// run cancelled before a worker picks it up goes straight to cancelled.
+// Run states. queued → running → done | failed | cancelled. A run stays
+// queued through admission and scenario setup, and turns running only
+// when its simulation starts with every observation plane (netmon, agent
+// ingest) published, so a running run always serves them. A queued run
+// cancelled before that goes straight to cancelled.
 const (
 	StateQueued    State = "queued"
 	StateRunning   State = "running"
@@ -222,6 +225,7 @@ type Run struct {
 
 	ctx    context.Context
 	cancel context.CancelFunc
+	done   chan struct{} // closed when the run turns terminal
 
 	// seq is the admission sequence number (FIFO order within a priority
 	// class); weight is the spec's pool-slot weight clamped to the pool
@@ -322,9 +326,9 @@ func (r *Run) State() State {
 	return r.state
 }
 
-func (r *Run) setRunning() {
+// setStarted stamps the time a worker picked the run up.
+func (r *Run) setStarted() {
 	r.mu.Lock()
-	r.state = StateRunning
 	r.started = time.Now()
 	r.mu.Unlock()
 }
@@ -444,26 +448,32 @@ func (r *Run) finish(st State, err error, rep *metrics.Report, sum *NetSummary) 
 		r.report = rep
 		r.net = sum
 		r.finished = time.Now()
+		close(r.done)
 	}
 	r.mu.Unlock()
 }
 
+// Done is closed once the run has reached a terminal state.
+func (r *Run) Done() <-chan struct{} { return r.done }
+
 // Info is the JSON snapshot of a run: spec echo, lifecycle, live
 // progress counters, and — once finished — the metrics report.
 type Info struct {
-	ID        string     `json:"id"`
-	Name      string     `json:"name,omitempty"`
-	State     State      `json:"state"`
-	Approach  string     `json:"approach"`
-	Engines   int        `json:"engines"`
-	Seconds   float64    `json:"seconds"`
-	App       string     `json:"app"`
-	Fidelity  string     `json:"fidelity,omitempty"`
-	Seed      int64      `json:"seed"`
-	Submitted time.Time  `json:"submitted"`
-	Started   *time.Time `json:"started,omitempty"`
-	Finished  *time.Time `json:"finished,omitempty"`
-	Error     string     `json:"error,omitempty"`
+	ID        string    `json:"id"`
+	Name      string    `json:"name,omitempty"`
+	State     State     `json:"state"`
+	Approach  string    `json:"approach"`
+	Engines   int       `json:"engines"`
+	Seconds   float64   `json:"seconds"`
+	App       string    `json:"app"`
+	Fidelity  string    `json:"fidelity,omitempty"`
+	Seed      int64     `json:"seed"`
+	Submitted time.Time `json:"submitted"`
+	// Started is when a worker picked the run up and began its setup;
+	// the run turns running once setup is done.
+	Started  *time.Time `json:"started,omitempty"`
+	Finished *time.Time `json:"finished,omitempty"`
+	Error    string     `json:"error,omitempty"`
 
 	// Priority and Weight echo the scheduling knobs the run was admitted
 	// under (weight after clamping to the pool size).
@@ -676,6 +686,7 @@ func (m *Manager) Submit(spec Spec) (*Run, error) {
 		weight:    spec.Weight,
 		state:     StateQueued,
 		submitted: time.Now(),
+		done:      make(chan struct{}),
 	}
 	m.mu.Lock()
 	if len(m.queue) >= m.maxQueue {
@@ -726,7 +737,7 @@ func (m *Manager) scheduleLocked() {
 		}
 		m.queue = m.queue[1:]
 		m.activeW += r.weight
-		r.setRunning()
+		r.setStarted()
 		m.wg.Add(1)
 		go m.runLoop(r)
 	}
@@ -769,7 +780,8 @@ func (m *Manager) List() []Info {
 
 // Cancel requests cancellation of a run by ID. from reports the phase
 // the run was in when the request landed: a queued run is withdrawn and
-// turns cancelled immediately (it never started); a running run stops
+// turns cancelled immediately (its simulation never started, though a
+// worker may still be building its scenario); a running run stops
 // cooperatively at the next barrier; a terminal run is left untouched
 // (from echoes its state).
 func (m *Manager) Cancel(id string) (r *Run, from State, ok bool) {
@@ -796,6 +808,22 @@ func (m *Manager) Cancel(id string) (r *Run, from State, ok bool) {
 		m.mu.Unlock()
 	}
 	return r, from, true
+}
+
+// begin turns r running just before its simulation starts, after its
+// observation planes are published. It holds m.mu, as Cancel does, so a
+// cancel that found the run queued wins: begin then refuses and the
+// simulation never starts.
+func (m *Manager) begin(r *Run) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if r.ctx.Err() != nil || r.State() != StateQueued {
+		return false
+	}
+	r.mu.Lock()
+	r.state = StateRunning
+	r.mu.Unlock()
+	return true
 }
 
 // Shutdown cancels every run — queued runs turn cancelled immediately,
@@ -912,6 +940,8 @@ func (m *Manager) runLoop(r *Run) {
 		// but the outcome is a failure, with the partial report kept.
 		r.finish(StateFailed, lerr, rep, sum)
 	case err != nil && r.ctx.Err() != nil:
+		// Stopped before the simulation began.
+		r.setCancelledFrom(StateQueued)
 		r.finish(StateCancelled, nil, nil, nil)
 	case err != nil:
 		r.finish(StateFailed, err, nil, nil)
@@ -1069,7 +1099,8 @@ func (m *Manager) execute(r *Run) (*metrics.Report, *NetSummary, error) {
 	setupNS += time.Since(mapStart)
 	r.setSetupMS(float64(setupNS) / 1e6)
 	r.Tel.SetupNS.Set(int64(setupNS))
-	// Publish the plane before Run so /net/stream can follow live.
+	// Publish the planes, then turn running: /net/* and the agent plane
+	// serve from the moment the run reports running.
 	r.setNetMon(sim.Config().NetMon)
 	if m.ingest != nil && spec.Ingest {
 		// Expose the run to the live agent plane: outside connections
@@ -1083,12 +1114,14 @@ func (m *Manager) execute(r *Run) (*metrics.Report, *NetSummary, error) {
 			ag.Close()
 		}()
 	}
+	if !m.begin(r) {
+		return nil, nil, context.Canceled
+	}
 	release := watchCancel(r.ctx, sim.Stop)
 	res := sim.Run()
 	release()
-	// GC-free sample: a forced GC here would sit between the netmon
-	// stream closing and the run turning terminal, stalling clients that
-	// expect the two to coincide.
+	// GC-free sample: a forced GC here would delay the run turning
+	// terminal, which live /net/stream clients wait for.
 	r.setMem(memstat.Read())
 	// Every run doubles as a profiling run: capture the measured traffic
 	// so GET /runs/{id}/profile can feed it back into a later HPROF

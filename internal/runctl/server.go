@@ -1,14 +1,12 @@
-// HTTP surface of the run-control daemon. The canonical surface lives
-// under the versioned /api/v1 prefix; every route is also registered at
-// its historical unversioned path as a thin deprecated alias that returns
-// byte-identical bodies (plus Deprecation/Link headers pointing at the
-// successor). Errors are a uniform JSON envelope:
+// HTTP surface of the run-control daemon. Every route lives under the
+// versioned /api/v1 prefix; unversioned paths answer 404. Errors are a
+// uniform JSON envelope:
 //
 //	{"error": {"code": "<machine_code>", "message": "<human text>"}}
 //
 // with codes invalid_spec (400), not_found (404) and queue_full (429).
 //
-// Routes (Go 1.22 method patterns, shown unprefixed):
+// Routes (Go 1.22 method patterns, shown without the /api/v1 prefix):
 //
 //	GET    /healthz               liveness probe
 //	GET    /runs                  list runs (JSON)
@@ -108,21 +106,13 @@ func NewServer(m *Manager) *Server {
 	return s
 }
 
-// handle registers one route twice: canonically under APIPrefix, and at
-// the historical unversioned path as a deprecated alias. Both share the
-// handler, so bodies are identical by construction; the alias only adds
-// the deprecation headers.
+// handle registers one route, "METHOD /path", under APIPrefix.
 func (s *Server) handle(pattern string, h http.HandlerFunc) {
 	method, path, ok := strings.Cut(pattern, " ")
 	if !ok {
 		panic("runctl: route pattern must be \"METHOD /path\": " + pattern)
 	}
 	s.mux.HandleFunc(method+" "+APIPrefix+path, h)
-	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", "<"+APIPrefix+r.URL.Path+">; rel=\"successor-version\"")
-		h(w, r)
-	})
 }
 
 // ServeHTTP implements http.Handler.
@@ -236,51 +226,51 @@ func (s *Server) runMetrics(w http.ResponseWriter, r *http.Request) {
 		telemetry.WritePrometheus(w, run.Tel.Reg.Gather(telemetry.Label{Key: "run", Value: run.ID}))
 		return
 	}
-	follow := r.URL.Query().Get("follow") != "0"
 	past, ch, cancel := run.Tel.Windows.Subscribe(1024)
 	defer cancel()
+	// The ring closes after the run has turned terminal.
+	streamNDJSON(w, r, past, ch, func() {})
+}
+
+// streamNDJSON serves a live NDJSON stream: the replayed history first,
+// then — unless ?follow=0 — records as they arrive, until ch closes or
+// the client goes away. A burst of buffered records is flushed once, so a
+// fast simulation does not force one flush per record. end runs after ch
+// closes, before the response ends.
+func streamNDJSON[T any](w http.ResponseWriter, r *http.Request, past []T, ch <-chan T, end func()) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("Cache-Control", "no-store")
 	w.WriteHeader(http.StatusOK)
 	enc := json.NewEncoder(w)
-	for _, rec := range past {
-		if enc.Encode(rec) != nil {
+	for _, v := range past {
+		if enc.Encode(v) != nil {
 			return
 		}
 	}
 	flush(w)
-	if !follow {
+	if r.URL.Query().Get("follow") == "0" {
 		return
 	}
-	ctx := r.Context()
 	for {
 		select {
-		case rec, open := <-ch:
-			if !open {
-				return
-			}
-			if enc.Encode(rec) != nil {
-				return
-			}
-			// Drain whatever else is already buffered before flushing, so
-			// a fast simulation does not force one flush per window.
-			for {
+		case v, open := <-ch:
+			for open {
+				if enc.Encode(v) != nil {
+					return
+				}
 				select {
-				case rec, open := <-ch:
-					if !open {
-						flush(w)
-						return
-					}
-					if enc.Encode(rec) != nil {
-						return
-					}
+				case v, open = <-ch:
 					continue
 				default:
 				}
 				break
 			}
 			flush(w)
-		case <-ctx.Done():
+			if !open {
+				end()
+				return
+			}
+		case <-r.Context().Done():
 			return
 		}
 	}
@@ -304,7 +294,7 @@ func (s *Server) runTrace(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Content-Disposition", fmt.Sprintf("attachment; filename=%q", "massf-trace-"+run.ID+".json"))
-	telemetry.WriteChromeTrace(w, run.Tel.Windows.Snapshot(), map[string]string{
+	telemetry.WriteChromeTrace(w, telemetry.BuildTraceEvents(run.Tel.Windows.Snapshot(), nil, nil), map[string]string{
 		"run":      run.ID,
 		"approach": run.Spec.Approach,
 		"engines":  strconv.Itoa(run.Spec.Engines),
@@ -443,60 +433,24 @@ func (s *Server) runNetPaths(w http.ResponseWriter, r *http.Request) {
 }
 
 // runNetStream streams flow completions as NDJSON: buffered history first,
-// then live snapshots as flows finish, ending when the run closes the
-// plane or the client disconnects. ?follow=0 dumps and returns.
+// then live snapshots as flows finish, ending when the run is over (the
+// simulation closed the plane and the run turned terminal) or the client
+// disconnects. ?follow=0 dumps and returns.
 func (s *Server) runNetStream(w http.ResponseWriter, r *http.Request) {
-	_, mon, ok := s.netMon(w, r)
+	run, mon, ok := s.netMon(w, r)
 	if !ok {
 		return
 	}
-	follow := r.URL.Query().Get("follow") != "0"
 	past, ch, cancel := mon.SubscribeCompletions(1024)
 	defer cancel()
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("Cache-Control", "no-store")
-	w.WriteHeader(http.StatusOK)
-	enc := json.NewEncoder(w)
-	for _, snap := range past {
-		if enc.Encode(snap) != nil {
-			return
-		}
-	}
-	flush(w)
-	if !follow {
-		return
-	}
-	ctx := r.Context()
-	for {
+	// The plane closes when the simulation returns, a moment before the
+	// run records its outcome: hold the stream open until it has.
+	streamNDJSON(w, r, past, ch, func() {
 		select {
-		case snap, open := <-ch:
-			if !open {
-				return
-			}
-			if enc.Encode(snap) != nil {
-				return
-			}
-			// Drain the buffer before flushing, as /metrics does.
-			for {
-				select {
-				case snap, open := <-ch:
-					if !open {
-						flush(w)
-						return
-					}
-					if enc.Encode(snap) != nil {
-						return
-					}
-					continue
-				default:
-				}
-				break
-			}
-			flush(w)
-		case <-ctx.Done():
-			return
+		case <-run.Done():
+		case <-r.Context().Done():
 		}
-	}
+	})
 }
 
 // aggregateMetrics serves the merged Prometheus exposition: daemon

@@ -494,7 +494,7 @@ func TraceRun(sc Scenario, k int, w io.Writer) error {
 	if _, _, err := runOnce(bundle, sc, k, m.Part, window, &pdes.Invariants{}, tel, nil); err != nil {
 		return err
 	}
-	return telemetry.WriteChromeTrace(w, tel.Windows.Snapshot(), map[string]string{
+	return telemetry.WriteChromeTrace(w, telemetry.BuildTraceEvents(tel.Windows.Snapshot(), nil, nil), map[string]string{
 		"tool":     "simcheck",
 		"scenario": sc.String(),
 		"k":        fmt.Sprint(k),

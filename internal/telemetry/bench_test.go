@@ -128,7 +128,7 @@ func BenchmarkChromeTraceExport(b *testing.B) {
 	recs := syntheticRecords(16, 1024)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if err := WriteChromeTrace(io.Discard, recs, nil); err != nil {
+		if err := WriteChromeTrace(io.Discard, BuildTraceEvents(recs, nil, nil), nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -3,13 +3,17 @@
 // (ui.perfetto.dev) or chrome://tracing and renders one track per
 // simulation engine, with a complete ("X") slice per phase of every
 // barrier window — compute, barrier wait, exchange — so stragglers and
-// barrier-dominated windows are visible at a glance.
+// barrier-dominated windows are visible at a glance. This file is the only
+// code that maps simulated time onto the trace timeline, so every lane
+// drawn in simulated time (sampled packet paths) lines up with the engine
+// windows that carried it.
 package telemetry
 
 import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"sort"
 )
 
 // TraceEvent is one entry of the Chrome Trace Event Format (the subset
@@ -41,58 +45,66 @@ const (
 	phaseExchange = "exchange"
 )
 
-// BuildTraceEvents converts window records (oldest first, as returned by
-// Ring.Snapshot) into Chrome trace events: one metadata-named track per
-// engine, and per window three complete slices per engine — compute,
-// barrier wait, and exchange.
+// Trace-event process ids: the engine tracks, then the lanes.
+const (
+	enginePID = 1
+	lanePID   = 2
+)
+
+// Lane is one extra trace row drawn in simulated time next to the engine
+// tracks — for example one sampled packet's path (netmon.Lanes).
+type Lane struct {
+	Name   string
+	Slices []LaneSlice
+}
+
+// LaneSlice is one slice of a Lane. StartNS and EndNS are simulated time;
+// the builder places them on the trace timeline.
+type LaneSlice struct {
+	Name           string
+	StartNS, EndNS int64
+	Args           map[string]any
+}
+
+// BuildTraceEvents is the one Chrome trace builder. It converts window
+// records (oldest first, as returned by Ring.Snapshot) into one
+// metadata-named track per engine with three complete slices per window —
+// compute, barrier wait and exchange — and draws lanes beside them as a
+// second process.
+//
+// setupNS, when non-nil, adds a leading "setup" slice on each engine
+// track: setupNS[e] is the wall time engine e's worker spent materializing
+// its scenario before the first event ran. Windows start once the slowest
+// setup finishes, so a straggling rebuild shows as the long bar every
+// other track waits on; a single-process run broadcasts its one build to
+// every track.
 //
 // The recorder publishes an engine's barrier wait and exchange time one
 // window late (they are only known after the window's record is
 // appended), so the slices for window w take their barrier/exchange
-// durations from the following record when it is contiguous (Seq+1);
-// the trailing window renders with compute only.
+// durations from the following record when it is contiguous (Seq+1); the
+// trailing window renders with compute only.
 //
-// Track timelines are synthesized from the records' wall-clock deltas:
-// window w+1 starts WallNS after window w. Within a track, slice starts
-// are strictly ordered (a per-engine cursor absorbs measurement jitter
-// where a window's phases overrun its wall time), which is what trace
-// viewers require.
-func BuildTraceEvents(recs []WindowRecord) []TraceEvent {
-	return BuildTraceEventsWithSetup(recs, nil)
-}
-
-// BuildTraceEventsWithSetup is BuildTraceEvents with a leading "setup"
-// slice on each engine track: setupNS[e] is the wall time engine e's worker
-// spent materializing its scenario before the first event ran. Windows
-// start once the slowest setup finishes, so a straggling rebuild shows as
-// the long setup bar every other track waits on. A nil or all-zero setupNS
-// emits no setup slices; on a single-process run every engine shares one
-// build, so callers typically broadcast the same duration to all tracks.
-func BuildTraceEventsWithSetup(recs []WindowRecord, setupNS []int64) []TraceEvent {
+// The timeline is synthesized from the records' wall-clock deltas: window
+// w+1 starts WallNS after window w. Lane slices are projected onto it by
+// simulated time (see timeline.at), so a packet's hops line up with the
+// windows that carried them; without records lanes keep raw simulated
+// time. Within a track or lane, slice starts are strictly ordered (a
+// cursor absorbs jitter where phases overrun a window's wall time), which
+// is what trace viewers require.
+func BuildTraceEvents(recs []WindowRecord, setupNS []int64, lanes []Lane) []TraceEvent {
 	engines := 0
 	for i := range recs {
 		if n := len(recs[i].Events); n > engines {
 			engines = n
 		}
 	}
-	if engines == 0 {
-		return nil
-	}
-	events := make([]TraceEvent, 0, 2+engines+3*engines*len(recs))
-	events = append(events, TraceEvent{
-		Name: "process_name", Ph: "M", PID: 1,
-		Args: map[string]any{"name": "massf simulation"},
-	})
-	for e := 0; e < engines; e++ {
-		events = append(events,
-			TraceEvent{
-				Name: "thread_name", Ph: "M", PID: 1, TID: e,
-				Args: map[string]any{"name": fmt.Sprintf("engine %d", e)},
-			},
-			TraceEvent{
-				Name: "thread_sort_index", Ph: "M", PID: 1, TID: e,
-				Args: map[string]any{"sort_index": e},
-			})
+	events := make([]TraceEvent, 0, 4+2*engines+3*engines*len(recs))
+	if engines > 0 {
+		events = appendProcess(events, enginePID, "massf simulation", 0)
+		for e := 0; e < engines; e++ {
+			events = appendThread(events, enginePID, e, fmt.Sprintf("engine %d", e))
+		}
 	}
 	cursor := make([]int64, engines) // per-track monotonic frontier, ns
 	var base int64                   // window start on the synthetic timeline, ns
@@ -100,12 +112,13 @@ func BuildTraceEventsWithSetup(recs []WindowRecord, setupNS []int64) []TraceEven
 		if setupNS[e] <= 0 {
 			continue
 		}
-		cursor[e] = appendSlice(&events, phaseSetup, e, 0, setupNS[e],
+		cursor[e] = appendSlice(&events, enginePID, phaseSetup, e, 0, setupNS[e],
 			map[string]any{"setup_ns": setupNS[e]})
 		if cursor[e] > base {
 			base = cursor[e] // first window starts after the slowest setup
 		}
 	}
+	var tl timeline
 	for i := range recs {
 		rec := &recs[i]
 		// Barrier/exchange spans for this window live in the next record.
@@ -129,18 +142,79 @@ func BuildTraceEventsWithSetup(recs []WindowRecord, setupNS []int64) []TraceEven
 			if e < len(rec.QueueDepth) {
 				args["queue_depth"] = rec.QueueDepth[e]
 			}
-			at = appendSlice(&events, phaseCompute, e, at, idx64(rec.ComputeNS, e), args)
-			at = appendSlice(&events, phaseBarrier, e, at, idx64(wait, e), nil)
-			at = appendSlice(&events, phaseExchange, e, at, idx64(exch, e), nil)
+			at = appendSlice(&events, enginePID, phaseCompute, e, at, idx64(rec.ComputeNS, e), args)
+			at = appendSlice(&events, enginePID, phaseBarrier, e, at, idx64(wait, e), nil)
+			at = appendSlice(&events, enginePID, phaseExchange, e, at, idx64(exch, e), nil)
 			cursor[e] = at
 		}
 		wall := rec.WallNS
 		if wall < 1 {
 			wall = 1 // keep window starts strictly increasing
 		}
+		if rec.EndNS > rec.StartNS {
+			tl = append(tl, timeSeg{simLo: rec.StartNS, simHi: rec.EndNS, synthLo: base, synthWd: wall})
+		}
 		base += wall
 	}
+	if len(lanes) > 0 {
+		events = appendProcess(events, lanePID, "simulated-time lanes", 1)
+	}
+	for l := range lanes {
+		events = appendThread(events, lanePID, l, lanes[l].Name)
+		var cur int64
+		for _, sl := range lanes[l].Slices {
+			start := tl.at(sl.StartNS)
+			if start < cur {
+				start = cur
+			}
+			cur = appendSlice(&events, lanePID, sl.Name, l, start, tl.at(sl.EndNS)-start, sl.Args)
+		}
+	}
 	return events
+}
+
+// timeSeg maps one window's simulated-time span onto its span of the
+// synthetic trace timeline.
+type timeSeg struct {
+	simLo, simHi     int64
+	synthLo, synthWd int64
+}
+
+// timeline is the window segments of one trace, in simulated-time order.
+type timeline []timeSeg
+
+// at projects simulated time t onto the trace timeline: linear
+// interpolation inside the window that covers t, clamped into the nearest
+// window across the idle gaps the engine fast-forwards over. An empty
+// timeline maps simulated time identically.
+func (tl timeline) at(t int64) int64 {
+	if len(tl) == 0 {
+		return t
+	}
+	i := sort.Search(len(tl), func(i int) bool { return tl[i].simHi > t })
+	if i == len(tl) {
+		last := tl[len(tl)-1]
+		return last.synthLo + last.synthWd
+	}
+	s := tl[i]
+	if t <= s.simLo {
+		return s.synthLo
+	}
+	return s.synthLo + (t-s.simLo)*s.synthWd/(s.simHi-s.simLo)
+}
+
+// appendProcess names trace process pid and orders it among processes.
+func appendProcess(events []TraceEvent, pid int, name string, order int) []TraceEvent {
+	return append(events,
+		TraceEvent{Name: "process_name", Ph: "M", PID: pid, Args: map[string]any{"name": name}},
+		TraceEvent{Name: "process_sort_index", Ph: "M", PID: pid, Args: map[string]any{"sort_index": order}})
+}
+
+// appendThread names track tid of process pid and orders it by tid.
+func appendThread(events []TraceEvent, pid, tid int, name string) []TraceEvent {
+	return append(events,
+		TraceEvent{Name: "thread_name", Ph: "M", PID: pid, TID: tid, Args: map[string]any{"name": name}},
+		TraceEvent{Name: "thread_sort_index", Ph: "M", PID: pid, TID: tid, Args: map[string]any{"sort_index": tid}})
 }
 
 func idx64(s []int64, i int) int64 {
@@ -151,33 +225,26 @@ func idx64(s []int64, i int) int64 {
 }
 
 // appendSlice emits one complete ("X") slice of durNS nanoseconds at
-// startNS on engine e's track and returns the slice's end. Zero-duration
-// phases are still emitted (with the 1 ns minimum Perfetto accepts) so
-// every window shows all three phases; the per-track cursor keeps starts
-// strictly monotonic regardless.
-func appendSlice(events *[]TraceEvent, name string, e int, startNS, durNS int64, args map[string]any) int64 {
+// startNS on track tid of process pid and returns the slice's end.
+// Zero-duration slices are still emitted (with the 1 ns minimum Perfetto
+// accepts) so every window shows all three phases; the per-track cursor
+// keeps starts strictly monotonic regardless.
+func appendSlice(events *[]TraceEvent, pid int, name string, tid int, startNS, durNS int64, args map[string]any) int64 {
 	if durNS < 1 {
 		durNS = 1
 	}
 	*events = append(*events, TraceEvent{
-		Name: name, Ph: "X", PID: 1, TID: e,
+		Name: name, Ph: "X", PID: pid, TID: tid,
 		TS: float64(startNS) / 1e3, Dur: float64(durNS) / 1e3,
 		Args: args,
 	})
 	return startNS + durNS
 }
 
-// WriteChromeTrace renders recs as a Chrome trace-event JSON object —
-// loadable in Perfetto — with run-level metadata attached.
-func WriteChromeTrace(w io.Writer, recs []WindowRecord, meta map[string]string) error {
-	return WriteChromeTraceEvents(w, BuildTraceEvents(recs), meta)
-}
-
-// WriteChromeTraceEvents renders pre-built trace events as the same JSON
-// object WriteChromeTrace emits. Use it to combine the engine tracks from
-// BuildTraceEvents with extra lanes built elsewhere (e.g. netmon's sampled
-// packet paths) in one loadable file.
-func WriteChromeTraceEvents(w io.Writer, events []TraceEvent, meta map[string]string) error {
+// WriteChromeTrace renders trace events (BuildTraceEvents) as a Chrome
+// trace-event JSON object, loadable in Perfetto, with run-level metadata
+// attached as otherData (may be nil).
+func WriteChromeTrace(w io.Writer, events []TraceEvent, meta map[string]string) error {
 	trace := chromeTrace{
 		TraceEvents:     events,
 		DisplayTimeUnit: "ms",

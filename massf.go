@@ -407,7 +407,9 @@ type (
 	// Telemetry bundles the live instruments of one run: atomic counters,
 	// gauges and histograms plus the per-window trace ring. Set
 	// SimConfig.Telemetry before NewSimulation; nil disables
-	// instrumentation at zero cost.
+	// instrumentation at zero cost. Its massf_net_* counters are folded
+	// once per window from the counters Result is built from, so they
+	// always agree with Result.
 	Telemetry = telemetry.SimTelemetry
 	// TelemetryWindow is one barrier window's trace record.
 	TelemetryWindow = telemetry.WindowRecord
@@ -427,6 +429,9 @@ func NewTelemetry(engines int) *Telemetry { return telemetry.New(engines, 4096) 
 type (
 	// TraceEvent is one Chrome trace-event (the format Perfetto loads).
 	TraceEvent = telemetry.TraceEvent
+	// TraceLane is an extra trace row drawn in simulated time beside the
+	// engine tracks (PathLanes builds one per sampled packet).
+	TraceLane = telemetry.Lane
 	// FlightReport is the straggler/critical-path analysis of a recording.
 	FlightReport = flight.Report
 	// WindowAnalysis diagnoses one barrier window (bounding engine,
@@ -440,24 +445,21 @@ type (
 
 // BuildTraceEvents converts a window recording (Telemetry.Windows
 // snapshot) into Chrome trace events: one track per engine with
-// compute/barrier/exchange slices per barrier window.
-func BuildTraceEvents(recs []TelemetryWindow) []TraceEvent {
-	return telemetry.BuildTraceEvents(recs)
+// compute/barrier/exchange slices per barrier window. setupNS (may be
+// nil) adds a leading "setup" slice per track — setupNS[e] is the
+// scenario build wall time of the worker hosting engine e. lanes (may be
+// nil, e.g. PathLanes of a run's sampled paths) are drawn beside the
+// tracks, their simulated time projected onto the same timeline so each
+// slice sits inside the window that carried it.
+func BuildTraceEvents(recs []TelemetryWindow, setupNS []int64, lanes []TraceLane) []TraceEvent {
+	return telemetry.BuildTraceEvents(recs, setupNS, lanes)
 }
 
-// BuildTraceEventsWithSetup is BuildTraceEvents with a leading "setup"
-// slice on each engine track — setupNS[e] is the scenario build wall time
-// of the worker hosting engine e, so slow rebuilds show as the bar every
-// other track waits on.
-func BuildTraceEventsWithSetup(recs []TelemetryWindow, setupNS []int64) []TraceEvent {
-	return telemetry.BuildTraceEventsWithSetup(recs, setupNS)
-}
-
-// WriteChromeTrace writes the recording as a Chrome trace-event JSON
-// document, loadable in ui.perfetto.dev or chrome://tracing. meta is
-// attached as otherData (may be nil).
-func WriteChromeTrace(w io.Writer, recs []TelemetryWindow, meta map[string]string) error {
-	return telemetry.WriteChromeTrace(w, recs, meta)
+// WriteChromeTrace writes trace events (BuildTraceEvents) as one Chrome
+// trace-event JSON document, loadable in ui.perfetto.dev or
+// chrome://tracing. meta is attached as otherData (may be nil).
+func WriteChromeTrace(w io.Writer, events []TraceEvent, meta map[string]string) error {
+	return telemetry.WriteChromeTrace(w, events, meta)
 }
 
 // AnalyzeFlight diagnoses a recording: per-window bounding engine and
@@ -472,8 +474,9 @@ func AnalyzeFlight(recs []TelemetryWindow, topK int) *FlightReport {
 // Network observability (the netmon plane): per-link windowed telemetry,
 // per-flow TCP records and sampled packet-path traces. Attach a plane via
 // SimConfig.NetMon before NewSimulation; nil costs one check per record
-// point. The same reports back massfd's GET /runs/{id}/net/* endpoints
-// and massf -netstats / -pathtrace.
+// point, and every network event reaches the plane through the same
+// record path that feeds Result. The same reports back massfd's GET /api/v1/runs/{id}/net/*
+// endpoints and massf -netstats / -netsample.
 type (
 	// NetMon is a run's network observability plane.
 	NetMon = netmon.Mon
@@ -502,19 +505,9 @@ type (
 // NewNetMon creates a network observability plane. Use one per run.
 func NewNetMon(o NetMonOptions) *NetMon { return netmon.New(o) }
 
-// PathTraceEvents renders sampled packet paths as extra Chrome-trace
-// lanes (one per trace) aligned to the engine tracks of the same
-// recording; pass nil recs to plot in raw simulated time. Combine with
-// BuildTraceEvents and write via WriteChromeTraceEvents.
-func PathTraceEvents(spans []HopSpan, recs []TelemetryWindow) []TraceEvent {
-	return netmon.PathTraceEvents(spans, recs)
-}
-
-// WriteChromeTraceEvents writes pre-built trace events (engine tracks,
-// path lanes, or both concatenated) as one Chrome trace-event document.
-func WriteChromeTraceEvents(w io.Writer, events []TraceEvent, meta map[string]string) error {
-	return telemetry.WriteChromeTraceEvents(w, events, meta)
-}
+// PathLanes turns sampled packet paths (NetMon.Spans) into trace lanes,
+// one per traced packet, for BuildTraceEvents.
+func PathLanes(spans []HopSpan) []TraceLane { return netmon.Lanes(spans) }
 
 // Metrics (Section 4.1 of the paper).
 type (
